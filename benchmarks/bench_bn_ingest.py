@@ -2,7 +2,7 @@
 
 Times the vectorized BN *write* path against the pinned reference
 implementations and writes the results to ``BENCH_bn_ingest.json`` in the
-repository root.  Four sections:
+repository root.  Five sections:
 
 * ``window_job`` — one just-closed epoch's job (the online BN server's unit
   of work): numpy pair enumeration + one ``add_weights`` batch vs the
@@ -15,7 +15,12 @@ repository root.  Four sections:
   every window job plus the closing TTL sweep;
 * ``ttl_sweep`` — indexed bucket expiry vs the full-graph scan on a
   standalone steady-state network (edge stamps spread over one TTL
-  horizon), for both an expiring sweep and a no-op sweep.
+  horizon), for both an expiring sweep and a no-op sweep;
+* ``streamed`` — a sparse log stream fed to ``BNServer`` in 6-hour
+  chunks, each followed by ``run_due_jobs``: many small jobs per call, so
+  per-job fixed cost dominates.  The server's fused pass
+  (``BNBuilder.run_window_jobs``) is timed against the same server running
+  each due job as its own ``run_window_job`` call.
 
 The workload is community-structured, matching the paper's deposit-free
 leasing regime: users share devices/Wi-Fi/addresses with the same small
@@ -39,7 +44,8 @@ exit nonzero when a gate regresses):
 
 * pair enumeration (``window_job``) ≥ 5× the reference;
 * end-to-end ``replay`` ≥ 3× the reference;
-* ``batch_build`` and the expiring TTL sweep not slower than reference.
+* ``batch_build`` and the expiring TTL sweep not slower than reference;
+* the fused ``streamed`` pass ≥ 1.5× the per-job schedule.
 
 Scale knobs (environment variables):
 
@@ -60,6 +66,7 @@ import pytest
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
 from repro.network import BehaviorNetwork, BNBuilder
+from repro.system import BNServer, LatencyModel
 
 from _shared import Gate, check_gates, emit, emit_header
 
@@ -72,6 +79,10 @@ TTL = 60 * DAY
 COMMUNITY = 30  # users per community (well under max_clique_size)
 VALUES_PER_TYPE = 20  # distinct shared resources per community per type
 ATTEND_P = 0.95  # probability a member logs a given resource in a session
+CHUNK = 6 * HOUR  # streamed section: logs per ingest call
+HOUSEHOLD = 5  # streamed section: users sharing one private resource per type
+PUBLIC_VALUES = 40  # streamed section: public resources per type
+STREAM_DAYS_PER_DAY = 10  # streamed section: stream span per day of history
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_bn_ingest.json"
 
 
@@ -277,6 +288,107 @@ def bench_ttl_sweep(n_edges: int) -> dict:
     }
 
 
+class PerJobBuilder(BNBuilder):
+    """Runs each due job as a one-job kernel call over its own slice.
+
+    The per-job schedule the fused pass replaces — what a
+    :meth:`BNBuilder.run_window_job` loop does: every job slices its own
+    epoch's logs and encodes, groups and enumerates them on its own.
+    """
+
+    def run_window_jobs(self, bn, logs, jobs):
+        times = np.fromiter(
+            (log.timestamp for log in logs), dtype=np.float64, count=len(logs)
+        )
+        out = []
+        for window, job_end in jobs:
+            lo, hi = np.searchsorted(times, (job_end - window, job_end), side="right")
+            out += BNBuilder.run_window_jobs(self, bn, logs[lo:hi], [(window, job_end)])
+        return out
+
+
+def sparse_logs(n_users: int, days: int, seed: int = 1) -> list[BehaviorLog]:
+    """A thin stream: one log per user every three days, at uniform times.
+
+    At the default 600 users that is about 50 logs per 6-hour chunk, the
+    volume of the D1 replay in ``perfbench``'s ``ingest-stream`` workload.
+    Half the logs name the user's household resource of that type (shared
+    by :data:`HOUSEHOLD` users), half one of :data:`PUBLIC_VALUES` public
+    ones, so most window jobs see a few small groups.
+    """
+    rng = np.random.default_rng(seed)
+    n = n_users * days // 3
+    uids = rng.integers(0, n_users, size=n)
+    types = rng.integers(0, len(EDGE_TYPES), size=n)
+    public = rng.random(n) < 0.5
+    values = np.where(public, rng.integers(0, PUBLIC_VALUES, size=n), uids // HOUSEHOLD)
+    stamps = np.sort(rng.uniform(0.0, days * DAY, size=n))
+    return [
+        BehaviorLog(
+            int(uid), EDGE_TYPES[t], f"{'p' if pub else 'h'}{t}.{value}", float(ts)
+        )
+        for uid, t, pub, value, ts in zip(uids, types, public, values, stamps)
+    ]
+
+
+def stream(builder: BNBuilder, chunks: list) -> tuple[BNServer, list]:
+    """Feed every chunk to a fresh server; the per-call results."""
+    server = BNServer(builder, LatencyModel(seed=0))
+    calls = []
+    for logs, now in chunks:
+        server.ingest(logs)
+        calls.append(server.run_due_jobs(now))
+    return server, calls
+
+
+def full_state(bn: BehaviorNetwork) -> tuple:
+    """Edges bit-level and in order, adjacency order, creation tags, version."""
+    return (
+        [
+            (u, v, t, r.weight.hex(), r.last_update.hex())
+            for u, v, t, r in bn.iter_edges()
+        ],
+        [(node, list(nbrs)) for node, nbrs in bn._adjacency.items()],
+        list(bn._pair_seq.items()),
+        bn.version,
+    )
+
+
+def bench_streamed(n_users: int, days: int) -> dict:
+    """6-hour chunks through ``BNServer``: fused pass vs one call per job.
+
+    Per-call results (jobs, charged seconds) and the final network state —
+    edges bit-level and in order, adjacency order, pair-creation tags,
+    version — must match before anything is timed.
+    """
+    logs = sparse_logs(n_users, days)
+    times = np.array([log.timestamp for log in logs])
+    ends = CHUNK * np.arange(days * DAY // CHUNK + 1)
+    cuts = np.searchsorted(times, ends, side="right")
+    chunks = [
+        (logs[cuts[k] : cuts[k + 1]], CHUNK * (k + 1)) for k in range(len(cuts) - 1)
+    ]
+    kwargs = dict(windows=WINDOWS, edge_types=EDGE_TYPES, ttl=TTL)
+    fused, fused_calls = stream(BNBuilder(**kwargs), chunks)
+    per_job, per_job_calls = stream(PerJobBuilder(**kwargs), chunks)
+    assert fused_calls == per_job_calls, "streamed: per-call jobs or charges differ"
+    assert full_state(fused.bn) == full_state(per_job.bn), "streamed: BN state differs"
+    assert_bit_exact(fused.bn, per_job.bn, "streamed")
+
+    vec_s = best_of(lambda: stream(BNBuilder(**kwargs), chunks))
+    ref_s = best_of(lambda: stream(PerJobBuilder(**kwargs), chunks))
+    return {
+        "days": days,
+        "logs": len(logs),
+        "chunks": len(chunks),
+        "jobs": fused.jobs_run,
+        "reference_s": ref_s,
+        "vectorized_s": vec_s,
+        "speedup": ref_s / vec_s,
+        "logs_per_s": len(logs) / vec_s,
+    }
+
+
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
@@ -317,6 +429,12 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         "no-op {noop_reference_s:.4f}s → {noop_vectorized_s:.4f}s "
         "({noop_speedup:.1f}x)".format(**sections["ttl_sweep"])
     )
+    sections["streamed"] = bench_streamed(N_USERS, STREAM_DAYS_PER_DAY * DAYS)
+    emit(
+        "streamed       per-job {reference_s:.3f}s  fused {vectorized_s:.3f}s "
+        "({speedup:.1f}x)  {chunks} chunks, {jobs} jobs, "
+        "{logs_per_s:,.0f} logs/s".format(**sections["streamed"])
+    )
 
     result = {
         "n_users": N_USERS,
@@ -334,6 +452,7 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         Gate("replay_speedup", sections["replay"]["speedup"], 3.0),
         Gate("batch_build_not_slower", sections["batch_build"]["speedup"], 1.0),
         Gate("ttl_sweep_not_slower", sections["ttl_sweep"]["speedup"], 1.0),
+        Gate("streamed_fused_speedup", sections["streamed"]["speedup"], 1.5),
     ]
     check_gates(gates, result, result_path)
     return result

@@ -9,10 +9,16 @@ Two entry points:
   ``(u, v)`` keys, then apply one columnar
   :meth:`~repro.network.bn.BehaviorNetwork.add_weights` batch per behavior
   type (a single snapshot-version bump each).
-* :meth:`BNBuilder.run_window_job` — one periodic job of the online BN
-  server (Section V): process the logs of a single just-closed epoch of one
-  window.  Running every window's jobs over a time range is equivalent to the
-  batch build over the same logs, which a test verifies.
+* :meth:`BNBuilder.run_window_jobs` — the periodic jobs of the online BN
+  server (Section V), each processing the logs of one just-closed epoch of
+  one window.  One call encodes its log slice once and enumerates the
+  groups and pairs of all its jobs in one pass, then applies each job's
+  contributions as that job's own ``add_weights`` batch, so the network
+  ends exactly as if the jobs ran one by one.
+  :meth:`BNBuilder.run_window_job` is its one-job call and
+  :meth:`BNBuilder.replay` runs a whole history through it.  Running every
+  window's jobs over a time range is equivalent to the batch build over the
+  same logs, which a test verifies.
 
 Every vectorized write path keeps a pinned ``*_reference`` twin — the
 original per-pair Python loops (:meth:`BNBuilder.build_reference`,
@@ -278,6 +284,159 @@ class BNBuilder:
     # ------------------------------------------------------------------
     # Incremental (online BN server) construction
     # ------------------------------------------------------------------
+    def _encode_logs(
+        self, logs: Iterable[BehaviorLog]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Edge-type logs as columns ``(uids, groups, times, group_types)``.
+
+        ``groups[i]`` codes log ``i``'s ``(type, value)`` key; codes number
+        distinct keys in first-occurrence order from a dict that lives only
+        for this call, and ``group_types[code]`` is the key's index into
+        :attr:`edge_types`.  Logs of non-edge types are dropped.
+        """
+        type_index = self._type_index
+        edge_logs = [log for log in logs if log.btype in type_index]
+        table: dict[tuple[BehaviorType, str], int] = {}
+        # ``len(table)`` is read before setdefault inserts, so a new key
+        # gets the next code.
+        groups = [
+            table.setdefault((log.btype, log.value), len(table)) for log in edge_logs
+        ]
+        n = len(edge_logs)
+        return (
+            np.fromiter((log.uid for log in edge_logs), dtype=np.int64, count=n),
+            np.asarray(groups, dtype=np.int64),
+            np.fromiter(
+                (log.timestamp for log in edge_logs), dtype=np.float64, count=n
+            ),
+            np.asarray([type_index[btype] for btype, _ in table], dtype=np.int64),
+        )
+
+    def run_window_jobs(
+        self,
+        bn: BehaviorNetwork,
+        logs: Iterable[BehaviorLog],
+        jobs: Sequence[tuple[float, float]],
+    ) -> list[int]:
+        """Run window jobs ``(window, job_end)`` in order over one log slice.
+
+        Job ``k`` processes the epoch ``(job_end - window, job_end]`` exactly
+        as if it ran alone, after jobs ``0..k-1``: the logs are encoded once,
+        each job's rows are found with ``searchsorted`` (input order is kept
+        inside a job when ``logs`` are not time-sorted), and the groups and
+        pairs of all jobs are enumerated in one pass.  Each non-empty job
+        then applies its contiguous contribution slice with its own
+        :meth:`~repro.network.bn.BehaviorNetwork.add_weights` call, so
+        version bumps, pair-creation order, expiry registration and delta
+        touches are the per-job ones.  Returns the contributions per job.
+        """
+        for window, _job_end in jobs:
+            if window not in self.windows:
+                raise ValueError(f"window {window} is not one of the builder's windows")
+        if not jobs:
+            return []
+        uids, groups, times, group_types = self._encode_logs(logs)
+        ends = np.asarray([job_end for _, job_end in jobs], dtype=np.float64)
+        lows = ends - np.asarray([window for window, _ in jobs], dtype=np.float64)
+        in_order = bool(np.all(times[1:] >= times[:-1]))
+        order = None if in_order else np.argsort(times, kind="stable")
+        sorted_times = times if order is None else times[order]
+        first = np.searchsorted(sorted_times, lows, side="right")
+        lengths = np.searchsorted(sorted_times, ends, side="right") - first
+        rows = np.repeat(first, lengths) + segment_arange(lengths)
+        if order is not None:
+            # Back to input order inside each job (jobs stay contiguous).
+            rows = order[rows]
+            job_of_row = np.repeat(np.arange(len(jobs), dtype=np.int64), lengths)
+            rows = rows[np.lexsort((rows, job_of_row))]
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        return self._apply_jobs(bn, uids, groups, group_types, rows, bounds, ends)
+
+    def _apply_jobs(
+        self,
+        bn: BehaviorNetwork,
+        uids: np.ndarray,
+        groups: np.ndarray,
+        group_types: np.ndarray,
+        rows: np.ndarray,
+        bounds: np.ndarray,
+        ends: np.ndarray,
+    ) -> list[int]:
+        """Apply jobs whose rows are ``rows[bounds[k]:bounds[k + 1]]``.
+
+        The per-job result is bit-identical to a lone job over those rows:
+        nodes register in first-occurrence order, groups are the job's
+        distinct ``(type, value)`` keys ranked by first occurrence, members
+        ascend inside a group, and the job's contributions share its end as
+        their timestamp.
+        """
+        n_jobs = len(ends)
+        contributions = [0] * n_jobs
+        if not len(rows):
+            return contributions
+        job_of_row = np.repeat(
+            np.arange(n_jobs, dtype=np.int64), np.diff(bounds)
+        )
+        row_uids = uids[rows]
+        # A user's first row in the job stream is where a lone job would
+        # register it; every later add_node call for it would be a no-op.
+        _, first_seen = np.unique(row_uids, return_index=True)
+        first_seen.sort()
+        new_nodes = row_uids[first_seen].tolist()
+        node_cuts = np.searchsorted(first_seen, bounds).tolist()
+
+        # Groups are distinct (job, type, value) keys ranked by first
+        # occurrence: job-major, then each job's dict-insertion order.
+        n_groups = len(group_types)
+        key = job_of_row * n_groups + groups[rows]
+        uniq, first_idx, inverse = np.unique(
+            key, return_index=True, return_inverse=True
+        )
+        fo_order = np.argsort(first_idx)
+        rank = np.empty(len(uniq), dtype=np.int64)
+        rank[fo_order] = np.arange(len(uniq), dtype=np.int64)
+        keys_fo = uniq[fo_order]
+
+        u0 = int(row_uids.min())
+        g_gid, g_uid = sorted_unique_pairs(rank[inverse], row_uids - u0)
+        starts = np.flatnonzero(np.concatenate(([True], g_gid[1:] != g_gid[:-1])))
+        counts = np.diff(starts, append=len(g_gid))
+        eligible = (counts >= 2) & (counts <= self.max_clique_size)
+        sel_starts = starts[eligible]
+        sel_counts = counts[eligible]
+        sel_keys = keys_fo[g_gid[sel_starts]]
+
+        pool = g_uid[np.repeat(sel_starts, sel_counts) + segment_arange(sel_counts)] + u0
+        first, second, group = _pair_indices(sel_counts)
+        u, v = pool[first], pool[second]
+        weights = self._group_shares(sel_counts)[group]
+        pair_codes = group_types[sel_keys % n_groups][group]
+        pairs_per_group = sel_counts * (sel_counts - 1) // 2
+        pair_offsets = np.concatenate(([0], np.cumsum(pairs_per_group)))
+        group_cuts = np.searchsorted(
+            sel_keys // n_groups, np.arange(n_jobs + 1, dtype=np.int64)
+        )
+        pair_cuts = pair_offsets[group_cuts].tolist()
+        job_ends = ends.tolist()
+        for k in range(n_jobs):
+            for uid in new_nodes[node_cuts[k] : node_cuts[k + 1]]:
+                bn.add_node(uid)
+            lo, hi = pair_cuts[k], pair_cuts[k + 1]
+            if hi > lo:
+                # The job end passes as a scalar: every contribution of the
+                # epoch shares it, so add_weights skips the per-row
+                # timestamp reduction.
+                bn.add_weights(
+                    u[lo:hi],
+                    v[lo:hi],
+                    pair_codes[lo:hi],
+                    weights[lo:hi],
+                    job_ends[k],
+                    btype_table=self.edge_types,
+                )
+                contributions[k] = hi - lo
+        return contributions
+
     def run_window_job(
         self,
         bn: BehaviorNetwork,
@@ -290,76 +449,13 @@ class BNBuilder:
         This is the periodic job the BN server schedules (hourly for the
         1-hour window, daily for the 1-day window, ...).  Logs outside the
         epoch are ignored.  Returns the number of pair contributions added.
-
-        Vectorized: the epoch's logs collapse to one
-        :meth:`~repro.network.bn.BehaviorNetwork.add_weights` batch (one
-        snapshot-version bump), with contributions streamed in the exact
-        order :meth:`run_window_job_reference` issues its ``add_weight``
-        calls — groups in first-occurrence order, members ascending — so
-        the resulting network state is bit-identical.
+        The one-job call of :meth:`run_window_jobs`: one
+        :meth:`~repro.network.bn.BehaviorNetwork.add_weights` batch, with
+        contributions in the order :meth:`run_window_job_reference` issues
+        its ``add_weight`` calls (groups in first-occurrence order, members
+        ascending), so the resulting network state is bit-identical.
         """
-        if window not in self.windows:
-            raise ValueError(f"window {window} is not one of the builder's windows")
-        lo = job_end - window
-        type_index = self._type_index
-        uids: list[int] = []
-        codes: list[int] = []
-        values: list[str] = []
-        for log in logs:
-            code = type_index.get(log.btype)
-            if code is None or not lo < log.timestamp <= job_end:
-                continue
-            uids.append(log.uid)
-            codes.append(code)
-            values.append(log.value)
-        if not uids:
-            return 0
-        uid_arr = np.asarray(uids, dtype=np.int64)
-        # Register nodes in first-occurrence order, like the reference's
-        # per-log add_node calls (repeats there are version no-ops).
-        _, first_seen = np.unique(uid_arr, return_index=True)
-        for idx in np.sort(first_seen):
-            bn.add_node(int(uid_arr[idx]))
-
-        # Groups are distinct (btype, value) keys ranked by first
-        # occurrence — the reference's dict-insertion iteration order.
-        value_codes = self._encode_values(values)
-        value_span = int(value_codes.max()) + 1
-        combo = np.asarray(codes, dtype=np.int64) * value_span + value_codes
-        uniq, first_idx, inverse = np.unique(
-            combo, return_index=True, return_inverse=True
-        )
-        rank = np.empty(len(uniq), dtype=np.int64)
-        fo_order = np.argsort(first_idx, kind="stable")
-        rank[fo_order] = np.arange(len(uniq), dtype=np.int64)
-        type_codes_fo = (uniq // value_span)[fo_order]
-
-        u0 = int(uid_arr.min())
-        g_gid, g_uid = sorted_unique_pairs(rank[inverse], uid_arr - u0)
-        starts = np.flatnonzero(np.r_[True, g_gid[1:] != g_gid[:-1]])
-        counts = np.diff(np.r_[starts, len(g_gid)])
-        eligible = (counts >= 2) & (counts <= self.max_clique_size)
-        sel_starts = starts[eligible]
-        sel_counts = counts[eligible]
-        if not len(sel_counts):
-            return 0
-
-        pool = g_uid[np.repeat(sel_starts, sel_counts) + segment_arange(sel_counts)] + u0
-        first, second, group = _pair_indices(sel_counts)
-        share = self._group_shares(sel_counts)
-        pair_codes = type_codes_fo[g_gid[sel_starts]][group]
-        contributions = len(first)
-        # job_end passes as a scalar: every contribution of the epoch shares
-        # it, so add_weights skips the per-row timestamp reduction.
-        bn.add_weights(
-            pool[first],
-            pool[second],
-            pair_codes,
-            share[group],
-            job_end,
-            btype_table=self.edge_types,
-        )
-        return contributions
+        return self.run_window_jobs(bn, logs, [(window, job_end)])[0]
 
     def replay(
         self,
@@ -372,42 +468,42 @@ class BNBuilder:
 
         Equivalent to :meth:`build` restricted to logs in closed epochs, but
         exercising the online job path, including TTL expiry at the end.
-        Epoch bucketing is one ``np.floor`` + stable argsort per window over
-        a timestamp array hoisted out of the loop (the log list is scanned
-        for timestamps exactly once).
+        Jobs run window-major, epochs ascending, input order inside a job,
+        as one :meth:`_apply_jobs` pass.  A log joins the job of its
+        ``floor`` epoch only if it also lies in that job's
+        ``(job_end - window, job_end]`` range, so a log exactly on an epoch
+        start is skipped by that window, as the reference does.
         """
         if bn is None:
             bn = BehaviorNetwork(ttl=self.ttl)
-        logs = list(logs)
-        if not logs:
-            if expire:
-                bn.expire_edges(until)
-            return bn
-        ts = np.fromiter(
-            (log.timestamp for log in logs), dtype=np.float64, count=len(logs)
-        )
-        t_min = float(ts.min())
-        log_arr = np.empty(len(logs), dtype=object)
-        log_arr[:] = logs
+        uids, groups, times, group_types = self._encode_logs(logs)
+        rows: list[np.ndarray] = []
+        lengths: list[np.ndarray] = []
+        ends: list[np.ndarray] = []
         for window in self.windows:
-            first = int(np.floor((t_min - self.origin) / window))
             last = int(np.floor((until - self.origin) / window))
-            epochs = np.floor((ts - self.origin) / window).astype(np.int64)
-            mask = (epochs >= first) & (epochs < last)
-            if not mask.any():
+            epochs = np.floor((times - self.origin) / window).astype(np.int64)
+            job_ends = self.origin + (epochs + 1) * window
+            inside = (epochs < last) & (job_ends - window < times) & (times <= job_ends)
+            sel = np.flatnonzero(inside)
+            if not len(sel):
                 continue
-            sel_order = np.argsort(epochs[mask], kind="stable")
-            sel_eps = epochs[mask][sel_order]
-            sel_logs = log_arr[mask][sel_order]
-            bounds = np.r_[
-                np.flatnonzero(np.r_[True, sel_eps[1:] != sel_eps[:-1]]), len(sel_eps)
-            ]
-            for k in range(len(bounds) - 1):
-                start = bounds[k]
-                job_end = self.origin + (int(sel_eps[start]) + 1) * window
-                self.run_window_job(
-                    bn, list(sel_logs[start : bounds[k + 1]]), window, job_end
-                )
+            sel = sel[np.argsort(epochs[sel], kind="stable")]
+            sel_eps = epochs[sel]
+            starts = np.flatnonzero(np.r_[True, sel_eps[1:] != sel_eps[:-1]])
+            rows.append(sel)
+            lengths.append(np.diff(np.r_[starts, len(sel)]))
+            ends.append(job_ends[sel][starts])
+        if rows:
+            self._apply_jobs(
+                bn,
+                uids,
+                groups,
+                group_types,
+                np.concatenate(rows),
+                np.r_[0, np.cumsum(np.concatenate(lengths))],
+                np.concatenate(ends),
+            )
         if expire:
             bn.expire_edges(until)
         return bn

@@ -501,7 +501,7 @@ class ShardedBehaviorNetwork:
 
     Duck-types the ``BehaviorNetwork`` surface the ingest pipeline and the
     servers use (``add_node``, ``add_weights``, ``expire_edges``,
-    membership, counts, ``to_arrays``), so ``BNBuilder.run_window_job`` and
+    membership, counts, ``to_arrays``), so ``BNBuilder.run_window_jobs`` and
     ``BNServer`` run unchanged on top of it.  Mutations route by the owner
     of the pair's ``lo`` endpoint and bump **one** facade version per batch
     (the cross-shard version barrier); reads that need cross-shard order

@@ -15,12 +15,13 @@ from pathlib import Path
 
 BENCHMARKS_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
-SECTIONS = ("window_job", "batch_build", "replay", "ttl_sweep")
+SECTIONS = ("window_job", "batch_build", "replay", "ttl_sweep", "streamed")
 GATES = (
     "pair_enumeration_speedup",
     "replay_speedup",
     "batch_build_not_slower",
     "ttl_sweep_not_slower",
+    "streamed_fused_speedup",
 )
 
 
@@ -44,6 +45,7 @@ def test_ingest_harness_smoke(tmp_path, monkeypatch, capsys):
         assert section["vectorized_s"] > 0.0
         assert section["speedup"] > 0.0
     assert result["sections"]["window_job"]["contributions"] > 0
+    assert result["sections"]["streamed"]["jobs"] > 0
 
     # The shared gate contract attached its verdicts and wrote the JSON.
     assert set(result["gates"]) == set(GATES)

@@ -11,9 +11,13 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
 from repro.network import BehaviorNetwork, BNBuilder
+from repro.obs.metrics import MetricsRegistry
+from repro.system import BNServer, LatencyModel
 
 TYPES = tuple(BehaviorType)[:3]
 WINDOWS = (HOUR, DAY)
@@ -262,3 +266,175 @@ class TestOrderingProperty:
                 assert weight == build_weight
             else:
                 assert weight == pytest.approx(build_weight, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Fused window jobs vs per-job schedules
+# ----------------------------------------------------------------------
+STREAM_TYPES = TYPES[:2]  # TYPES[2] stays a non-edge type for these builders
+STREAM_WINDOWS = (HOUR, 3 * HOUR, DAY)
+STREAM_SPAN = 2 * DAY
+
+
+class PerJobBuilder(BNBuilder):
+    """Runs a server's due jobs one at a time through the method ``job``.
+
+    ``job`` names :meth:`BNBuilder.run_window_job` (the one-job kernel
+    call) or :meth:`BNBuilder.run_window_job_reference` (scalar loops),
+    called on a plain builder with the same settings.  Each job
+    reads every log ingested so far instead of the server's slice, so a
+    slice that drops a log shows up as a mismatch.
+    """
+
+    def __init__(self, history: list, job: str, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.history = history
+        self.job = getattr(BNBuilder(**kwargs), job)
+
+    def run_window_jobs(self, bn, logs, jobs):
+        return [self.job(bn, self.history, window, job_end) for window, job_end in jobs]
+
+
+def network_state(bn: BehaviorNetwork) -> dict:
+    """Every observable of one network, bit-level and in iteration order."""
+    return {
+        "edges": [
+            (u, v, t.value, record.weight.hex(), record.last_update.hex())
+            for u, v, t, record in bn.iter_edges()
+        ],
+        "adjacency": [(node, list(nbrs)) for node, nbrs in bn._adjacency.items()],
+        "pair_seq": list(bn._pair_seq.items()),
+        "expiry": {b: frozenset(keys) for b, keys in bn._expiry_buckets.items()},
+        "version": bn.version,
+        "deltas": sorted(bn.delta_touched().items()),
+    }
+
+
+def server_state(server: BNServer) -> dict:
+    bn = server.bn
+    if server.sharded:
+        return {
+            "shards": [network_state(shard) for shard in bn.shards],
+            "version": bn.version,
+            "next_seq": bn._next_seq,
+        }
+    return network_state(bn)
+
+
+def reference_view(server: BNServer) -> dict:
+    """What a scalar-loop job schedule reproduces exactly: edge values and
+    stamps (not their order), nodes and expiry buckets."""
+    shards = server.bn.shards if server.sharded else [server.bn]
+    return {
+        "edges": {
+            (u, v, t.value): (record.weight.hex(), record.last_update.hex())
+            for u, v, t, record in server.bn.iter_edges()
+        },
+        "nodes": sorted(server.bn.nodes()),
+        "expiry": [
+            {b: frozenset(keys) for b, keys in shard._expiry_buckets.items() if keys}
+            for shard in shards
+        ],
+    }
+
+
+@st.composite
+def ingest_schedules(draw):
+    """A sorted log stream cut into chunks, each followed by ``run_due_jobs``.
+
+    Hypothesis draws the shape (stream length, user count, how many stamps
+    and ``now`` values sit exactly on hour boundaries, call count, seed);
+    numpy fills it in, which keeps streams dense enough for groups to form.
+    Up to 10 users over 3 values per type overflow the builders'
+    ``max_clique_size`` of 4, a third type is not an edge type, repeated
+    ``now`` values make calls with no due jobs, and the final call catches
+    up a day past the stream.
+    """
+    n_logs = draw(st.integers(0, 300))
+    n_users = draw(st.integers(2, 10))
+    on_boundary = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    n_calls = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def stamps(n: int, high: float) -> np.ndarray:
+        times = rng.uniform(0.0, high, size=n)
+        snap = rng.random(n) < on_boundary
+        times[snap] = np.floor(times[snap] / HOUR) * HOUR
+        return np.sort(times)
+
+    logs = [
+        BehaviorLog(int(uid), TYPES[int(t)], f"v{int(value)}", float(ts))
+        for uid, t, value, ts in zip(
+            rng.integers(0, n_users, size=n_logs),
+            rng.integers(0, len(TYPES), size=n_logs),
+            rng.integers(0, 3, size=n_logs),
+            stamps(n_logs, STREAM_SPAN),
+        )
+    ]
+    nows = stamps(n_calls, STREAM_SPAN).tolist()
+    repeat = rng.random(n_calls) < 0.2
+    for k in range(1, n_calls):
+        if repeat[k]:
+            nows[k] = nows[k - 1]
+    nows[-1] = STREAM_SPAN + DAY
+    cuts = np.sort(rng.integers(0, n_logs + 1, size=n_calls - 1)).tolist()
+    bounds = [0, *cuts, n_logs]
+    return [(logs[bounds[k] : bounds[k + 1]], now) for k, now in enumerate(nows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule=ingest_schedules(), shards=st.sampled_from([1, 2]))
+def test_fused_window_jobs_match_per_job_schedule(schedule, shards):
+    """``run_due_jobs`` (one fused pass) == its jobs run one at a time,
+    after every call: state, counters, charged seconds and jobs run."""
+    kwargs = dict(
+        windows=STREAM_WINDOWS, edge_types=STREAM_TYPES, max_clique_size=4, ttl=DAY
+    )
+    history: list = []
+
+    def server(builder: BNBuilder) -> BNServer:
+        out = BNServer(
+            builder, LatencyModel(seed=0), metrics=MetricsRegistry(), shards=shards
+        )
+        out.bn.track_deltas()
+        return out
+
+    fused = server(BNBuilder(**kwargs))
+    one_by_one = server(PerJobBuilder(history, "run_window_job", **kwargs))
+    scalar = server(PerJobBuilder(history, "run_window_job_reference", **kwargs))
+    for logs, now in schedule:
+        history.extend(logs)
+        charged = fused.ingest(logs)
+        assert one_by_one.ingest(logs) == scalar.ingest(logs) == charged
+        result = fused.run_due_jobs(now)
+        assert one_by_one.run_due_jobs(now) == scalar.run_due_jobs(now) == result
+        assert server_state(fused) == server_state(one_by_one)
+        assert reference_view(fused) == reference_view(scalar)
+        counters = fused.metrics.snapshot()["counters"]
+        assert counters == one_by_one.metrics.snapshot()["counters"]
+        assert fused.bn.num_edges() == fused.bn.num_edges_scan()
+    last_now = schedule[-1][1]
+    assert fused.jobs_run == sum(int(last_now // w) for w in STREAM_WINDOWS)
+
+
+def test_run_window_jobs_keeps_input_order_of_unsorted_logs():
+    """Shuffled logs: each job reads its epoch's logs in input order, so
+    one fused call equals one-job calls fed only their epoch's logs."""
+    shuffled = make_logs(n=600, n_users=40, span=DAY, seed=8)
+    np.random.default_rng(1).shuffle(shuffled)
+    builder = BNBuilder(windows=WINDOWS, edge_types=TYPES[:2], ttl=2 * DAY)
+    jobs = [(HOUR, k * HOUR) for k in range(1, 25)] + [(DAY, DAY)]
+    fused, one, ref = (BehaviorNetwork(ttl=2 * DAY) for _ in range(3))
+    counts = builder.run_window_jobs(fused, shuffled, jobs)
+    for window, job_end in jobs:
+        epoch_logs = [
+            log for log in shuffled if job_end - window < log.timestamp <= job_end
+        ]
+        builder.run_window_job(one, epoch_logs, window, job_end)
+    ref_counts = [
+        builder.run_window_job_reference(ref, shuffled, window, job_end)
+        for window, job_end in jobs
+    ]
+    assert counts == ref_counts
+    assert network_state(fused) == network_state(one)
+    assert edge_state(fused) == edge_state(ref)

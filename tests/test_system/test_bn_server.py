@@ -6,6 +6,8 @@ import pytest
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
 from repro.network import BNBuilder
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer, use_span
 from repro.system import BNServer, InMemoryCache, LatencyModel
 
 DEV = BehaviorType.DEVICE_ID
@@ -86,6 +88,47 @@ class TestWindowJobs:
         assert server.bn.num_edges() == 1
         server.run_due_jobs(now=5 * DAY)
         assert server.bn.num_edges() == 0
+
+
+class TestLateLogs:
+    """A log in an epoch ``run_due_jobs`` already closed is accepted and
+    counted, but the windows whose job for it has run never see it."""
+
+    def test_late_log_is_counted_and_skipped_by_closed_windows(self):
+        server = make_server(windows=(HOUR, DAY))
+        server.metrics = MetricsRegistry()
+        server.ingest([BehaviorLog(9, DEV, "other", 100.0)])
+        server.run_due_jobs(now=5 * HOUR)  # closes hour epochs up to 5h
+        tracer = Tracer()
+        root = tracer.start_trace("ingest", at=5 * HOUR)
+        with use_span(root):
+            server.ingest(shared_logs(2 * HOUR))  # both logs are late
+        server.run_due_jobs(now=DAY)
+        assert server.metrics.counter("bn.ingest.late_logs").as_int() == 2
+        assert root.attributes["bn.ingest.late_logs"] == 2
+        # Only the day window saw the shared device; a batch build over the
+        # same logs also counts the hour window's 1/2.
+        assert server.bn.weight(1, 2, DEV) == 0.5
+        built = server.builder.build(
+            [BehaviorLog(9, DEV, "other", 100.0), *shared_logs(2 * HOUR)]
+        )
+        assert built.weight(1, 2, DEV) == 1.0
+
+    def test_logs_in_open_epochs_are_not_late(self):
+        server = make_server(windows=(HOUR, DAY))
+        server.metrics = MetricsRegistry()
+        server.ingest(shared_logs())
+        server.run_due_jobs(now=HOUR)
+        server.ingest([BehaviorLog(3, DEV, "d1", HOUR + 1.0)])
+        assert "bn.ingest.late_logs" not in server.metrics.counters
+
+    def test_log_on_a_closed_epoch_end_is_late(self):
+        server = make_server(windows=(HOUR,))
+        server.metrics = MetricsRegistry()
+        server.run_due_jobs(now=HOUR)
+        on_end = [BehaviorLog(1, DEV, "d0", HOUR), BehaviorLog(2, DEV, "d0", HOUR)]
+        server.ingest(on_end)
+        assert server.metrics.counter("bn.ingest.late_logs").as_int() == 2
 
 
 class TestSampling:
