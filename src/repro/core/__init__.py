@@ -8,22 +8,7 @@ from .influence import (
     influence_scores_batch,
 )
 from .lambda_infer import HAGState, materialize
-from .minibatch import (
-    induced_adjacencies,
-    induced_adjacencies_reference,
-    sample_khop_nodes,
-    sample_khop_nodes_reference,
-    train_with_neighbor_sampling,
-)
 from .sao import SAOLayer, neighbor_mean_matrix
-from .train_engine import (
-    Minibatch,
-    ParallelTrainConfig,
-    PresampledGraph,
-    assemble_minibatch,
-    fold_gradients,
-    train_parallel,
-)
 from .trainer import TrainConfig, TrainResult, train_node_classifier
 
 __all__ = [
@@ -40,15 +25,4 @@ __all__ = [
     "influence_scores",
     "influence_scores_batch",
     "influence_distribution",
-    "sample_khop_nodes",
-    "sample_khop_nodes_reference",
-    "induced_adjacencies",
-    "induced_adjacencies_reference",
-    "train_with_neighbor_sampling",
-    "PresampledGraph",
-    "Minibatch",
-    "ParallelTrainConfig",
-    "assemble_minibatch",
-    "fold_gradients",
-    "train_parallel",
 ]

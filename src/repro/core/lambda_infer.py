@@ -116,10 +116,22 @@ class HAGState:
         n = len(self.node_ids)
         if not len(self.scores) == len(self.txn_ids) == len(self.nows) == n:
             raise ValueError("per-node columns must share one length")
-        if len(self.subgraph_indptr) != n + 1:
+        indptr = self.subgraph_indptr
+        if len(indptr) != n + 1:
             raise ValueError("subgraph_indptr must have num_nodes + 1 entries")
+        if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError("subgraph_indptr must start at 0 and not decrease")
+        if indptr[-1] != len(self.subgraph_nodes):
+            raise ValueError("subgraph_indptr must end at len(subgraph_nodes)")
+        # NaN fails both comparisons, so this also rejects non-finite scores.
+        scores = np.asarray(self.scores)
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+            raise ValueError("scores must be finite probabilities in [0, 1]")
         if n and np.any(np.diff(self.node_ids) <= 0):
             raise ValueError("node_ids must be strictly increasing")
+        for name, value in self.layers.items():
+            if np.ndim(value) == 0 or len(value) != n:
+                raise ValueError(f"layer {name!r} must have num_nodes rows")
 
     @property
     def num_nodes(self) -> int:

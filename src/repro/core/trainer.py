@@ -46,27 +46,6 @@ class TrainConfig:
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 
-    def streams(self) -> dict[str, np.random.Generator]:
-        """Named, independent rng streams, all derived from ``seed``.
-
-        ``SeedSequence.spawn`` guarantees the streams are statistically
-        independent, and keying them by *name* pins which consumer owns
-        which stream: ``shuffle`` (epoch batch order), ``sample`` (weighted
-        neighbour draws), ``init`` (weight initialization, for callers that
-        build the model from the config), ``workers`` (per-fork derived
-        seeds).  One seed therefore drives every source of randomness in a
-        training run, and consumers never share a stream — which is what
-        makes same-seed runs bit-identical regardless of how many worker
-        processes participate (workers get spawned seeds; they never
-        consume from the parent's streams).
-        """
-        children = np.random.SeedSequence(self.seed).spawn(4)
-        names = ("shuffle", "sample", "init", "workers")
-        return {
-            name: np.random.default_rng(child)
-            for name, child in zip(names, children)
-        }
-
 
 @dataclass(slots=True)
 class TrainResult:

@@ -1,10 +1,9 @@
-"""Wall-clock profiling hooks for the offline training loops.
+"""Wall-clock profiling hooks for the offline training loop.
 
 Unlike the online system — whose latency is *charged* against the
 simulated :class:`~repro.system.latency.LatencyModel` — offline training
-(``repro.core.trainer`` / ``repro.core.minibatch`` /
-``repro.core.train_engine``) runs real numpy work, so the profiler
-measures real wall time via ``time.perf_counter``.
+(``repro.core.trainer``) runs real numpy work, so the profiler measures
+real wall time via ``time.perf_counter``.
 
 Usage::
 
@@ -13,11 +12,9 @@ Usage::
     print(profiler.report())
 
 Each epoch produces an :class:`EpochProfile` with total seconds, the loss,
-per-stage timings (``forward``, ``backward``, ``step``, ``validation``;
-neighbor-sampled training adds ``sampling`` and ``induction``; the
-parallel engine adds ``presample``, ``gather``, ``prefetch``, ``reduce``,
-``dispatch``, ``workers_busy`` and ``workers_critical``), the batch count,
-and the number of sampled subgraph nodes.  Totals are mirrored into an
+per-stage timings (``forward``, ``backward``, ``step``, ``validation``),
+the batch count, and the number of sampled subgraph nodes.  Stages timed
+outside an epoch scope are dropped.  Totals are mirrored into an
 optional :class:`~repro.obs.metrics.MetricsRegistry` under the ``train.*``
 metric names documented in ``docs/OBSERVABILITY.md`` — per-epoch counters
 plus one ``train.stage_seconds.<stage>`` histogram per stage — and
@@ -26,19 +23,11 @@ created *after* training (``deploy_turbo`` publishes them under
 ``turbo.train.*`` this way).
 
 When a :class:`~repro.obs.tracing.Tracer` is attached, every epoch also
-emits a ``train_epoch`` span whose children are the epoch's stages, so
-training shows up in ``repro trace`` next to the serving spans.  The
-children are laid end-to-end from per-stage *totals*: with the prefetch
-pipeline, assembly stages tick on a background thread concurrently with
-compute, so the span tree is a cost breakdown, not a timeline (children
-may sum past the epoch's own span — that overhang *is* the overlap).
+emits a ``train_epoch`` span whose children are the epoch's stages, laid
+end-to-end from per-stage totals, so training shows up in ``repro trace``
+next to the serving spans.
 
-Thread-safety: the prefetch thread records assembly stages while the main
-thread records compute stages.  Stage names on the two threads are
-disjoint, so the per-name read-modify-write on the stages dict never
-races under the GIL.
-
-:class:`NullProfiler` is the no-op stand-in the training loops fall back
+:class:`NullProfiler` is the no-op stand-in the training loop falls back
 to when no profiler is passed; its hooks cost one attribute lookup and a
 shared no-op context manager, keeping the hot path unperturbed.
 """
@@ -80,9 +69,6 @@ class NullProfiler:
         """No-op stage scope."""
         return self._CTX
 
-    def add_stage_seconds(self, name: str, seconds: float) -> None:
-        """No-op externally-timed stage accumulator."""
-
     def count_batch(self, sampled_nodes: int = 0) -> None:
         """No-op batch counter."""
 
@@ -101,9 +87,6 @@ class TrainProfiler:
         self.registry = registry
         self.tracer = tracer
         self.epochs: list[EpochProfile] = []
-        #: stage seconds recorded outside any epoch scope (one-time run
-        #: setup such as the engine's ``presample`` pass).
-        self.run_stages: dict[str, float] = {}
         self._current: EpochProfile | None = None
 
     @contextmanager
@@ -130,23 +113,9 @@ class TrainProfiler:
         try:
             yield
         finally:
-            self.add_stage_seconds(name, time.perf_counter() - started)
-
-    def add_stage_seconds(self, name: str, seconds: float) -> None:
-        """Accumulate externally-timed seconds onto the current epoch's stage.
-
-        The pooled training path times worker busy spans *in the child
-        process* and books them here (``workers_busy``/``workers_critical``)
-        — a context manager around the parent's dispatch could not see them.
-
-        Outside an epoch scope the seconds land in :attr:`run_stages`
-        (one-time setup work like the presample pass), still visible in
-        :meth:`stage_totals` and :meth:`mirror_into`.
-        """
-        stages = (
-            self._current.stages if self._current is not None else self.run_stages
-        )
-        stages[name] = stages.get(name, 0.0) + seconds
+            if self._current is not None:
+                stages = self._current.stages
+                stages[name] = stages.get(name, 0.0) + time.perf_counter() - started
 
     def count_batch(self, sampled_nodes: int = 0) -> None:
         """Count one mini-batch (and the nodes its sampled subgraph holds)."""
@@ -186,10 +155,6 @@ class TrainProfiler:
         """
         for profile in self.epochs:
             self._mirror_epoch(registry, profile, prefix)
-        for name, seconds in self.run_stages.items():
-            registry.histogram(f"{prefix}train.stage_seconds.{name}").observe(
-                seconds
-            )
 
     def _emit_epoch_trace(self, profile: EpochProfile, started: float) -> None:
         """One ``train_epoch`` span per epoch with per-stage child spans."""
@@ -211,8 +176,8 @@ class TrainProfiler:
     # Reporting
     # ------------------------------------------------------------------
     def stage_totals(self) -> dict[str, float]:
-        """Total seconds per stage: run-level setup plus all epochs."""
-        totals: dict[str, float] = dict(self.run_stages)
+        """Total seconds per stage across all epochs."""
+        totals: dict[str, float] = {}
         for profile in self.epochs:
             for name, seconds in profile.stages.items():
                 totals[name] = totals.get(name, 0.0) + seconds

@@ -30,7 +30,6 @@ REQUIRED_RESULTS = (
     "BENCH_loadtest.json",
     "BENCH_serving_batch.json",
     "BENCH_sharding.json",
-    "BENCH_train_parallel.json",
 )
 
 

@@ -7,7 +7,9 @@ Pins the lambda tentpole's core guarantees (PR 8):
   staleness over the cached subgraph node sets;
 * ``to_arrays``/``from_arrays`` round-trip losslessly (including the
   full-graph layer states), which is what both the storage checkpoint
-  and the shared-memory publication rely on;
+  and the shared-memory publication rely on, and a corrupt payload
+  (broken subgraph CSR, non-probability score, short layer array) is
+  rejected with ``ValueError`` instead of serving wrong answers;
 * :func:`~repro.core.lambda_infer.materialize` replays the exact scalar
   serving path — cached scores are bit-for-bit what per-target sampling
   plus :meth:`~repro.core.hag.HAG.predict_subgraph` computes.
@@ -20,7 +22,10 @@ import pytest
 
 from repro.core import HAG, HAGState, materialize
 from repro.datagen import BehaviorType
+from repro.network import FAST_WINDOWS, BNBuilder
 from repro.network.sampling import computation_subgraph
+from repro.system import BNServer, LambdaLayer, LatencyModel, LocalDatabase
+from repro.system.lambda_layer import _CHECKPOINT_KEY, _CHECKPOINT_TABLE
 
 TYPES = (BehaviorType.DEVICE_ID, BehaviorType.IPV4, BehaviorType.WIFI_MAC)
 
@@ -137,6 +142,47 @@ class TestHAGState:
         arrays["meta"] = arrays["meta"][:2]
         with pytest.raises(ValueError):
             HAGState.from_arrays(arrays)
+
+
+
+#: one corrupted array each, applied to ``small_state``'s checkpoint payload.
+CORRUPTIONS = {
+    "truncated_subgraph_nodes": ("subgraph_nodes", np.array([3, 4, 5, 9, 4])),
+    "nan_score": ("scores", np.array([0.1, np.nan, 0.9])),
+    "score_above_one": ("scores", np.array([0.1, 1.5, 0.9])),
+    "short_layer": ("state:fused", np.zeros((2, 2))),
+    "decreasing_indptr": ("subgraph_indptr", np.array([0, 3, 2, 6])),
+    "indptr_not_at_zero": ("subgraph_indptr", np.array([1, 2, 3, 6])),
+}
+
+
+def corrupted_arrays(corruption: str) -> dict[str, np.ndarray]:
+    arrays = small_state(layers={"fused": np.zeros((3, 2))}).to_arrays()
+    name, value = CORRUPTIONS[corruption]
+    arrays[name] = value
+    return arrays
+
+
+class TestCorruptState:
+    """A corrupt checkpoint fails at build time, never at lookup time."""
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_from_arrays_rejects(self, corruption):
+        with pytest.raises(ValueError):
+            HAGState.from_arrays(corrupted_arrays(corruption))
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_load_checkpoint_keeps_installed_state(self, corruption):
+        latency = LatencyModel()
+        database = LocalDatabase(latency)
+        bn_server = BNServer(BNBuilder(windows=FAST_WINDOWS), latency)
+        lam = LambdaLayer(bn_server, None, None, database)
+        installed = small_state()
+        lam.state = installed
+        database.put(_CHECKPOINT_TABLE, _CHECKPOINT_KEY, corrupted_arrays(corruption))
+        with pytest.raises(ValueError):
+            lam.load_checkpoint()
+        assert lam.state is installed
 
 
 class TestMaterialize:

@@ -1,10 +1,9 @@
 """Fused kernels (`addmm`, `spmm_affine`) pinned bit-exact vs unfused chains.
 
-The parallel training engine relies on the fused ops being *bit-identical*
-to the node chains they replace: the engine's gradient-parity guarantees
-(same bits regardless of worker count) assume every process runs the same
-op sequence.  These tests pin forward and backward bits against the
-unfused graphs, with and without an active ``row_blocks`` context.
+Training and serving rely on the fused ops being *bit-identical* to the
+node chains they replace, so golden training trajectories do not move.
+These tests pin forward and backward bits against the unfused graphs,
+with and without an active ``row_blocks`` context.
 """
 
 from __future__ import annotations

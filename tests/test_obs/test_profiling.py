@@ -54,6 +54,7 @@ class TestTrainProfiler:
         profiler.count_batch(3)
         profiler.record_loss(1.0)
         assert profiler.epochs == []
+        assert profiler.stage_totals() == {}
 
     def test_stage_totals_accumulate_across_epochs(self):
         profiler = TrainProfiler()
@@ -78,6 +79,20 @@ class TestTrainProfiler:
         assert registry.counters["train.batches"].as_int() == 2
         assert registry.counters["train.sampled_nodes"].as_int() == 20
         assert registry.histograms["train.epoch_seconds"].count == 2
+
+    def test_mirror_into_prefixes_metrics(self):
+        profiler = TrainProfiler()
+        with profiler.epoch(0):
+            with profiler.stage("forward"):
+                pass
+            profiler.count_batch(4)
+        registry = MetricsRegistry()
+        profiler.mirror_into(registry, prefix="turbo.")
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["turbo.train.epochs"] == 1
+        assert snapshot["counters"]["turbo.train.batches"] == 1
+        assert snapshot["counters"]["turbo.train.sampled_nodes"] == 4
+        assert "turbo.train.stage_seconds.forward" in snapshot["histograms"]
 
     def test_report_mentions_every_stage(self):
         profiler = TrainProfiler()
